@@ -128,8 +128,9 @@ proptest! {
         );
     }
 
-    /// Weighted kNDS under uniform weights: the bucket loop drains one
-    /// distance bucket per turn and distances span the same diameter.
+    /// Weighted kNDS under uniform weights: the same driver loop drains
+    /// one distance bucket per turn (counted as a `levels` round) and
+    /// distances span the same diameter.
     #[test]
     fn weighted_bucket_counter_respects_static_bound(
         seed in 0u64..200,
@@ -148,9 +149,9 @@ proptest! {
         let _ = engine.rds(&q, k);
         let obs = knds_counters::snapshot();
         prop_assert!(
-            obs.buckets <= 2 * depth + 2,
-            "buckets {} vs bound 2·depth+2 = {}",
-            obs.buckets,
+            obs.levels <= 2 * depth + 2,
+            "levels {} vs bound 2·depth+2 = {}",
+            obs.levels,
             2 * depth + 2
         );
     }

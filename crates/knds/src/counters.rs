@@ -11,35 +11,26 @@ use std::cell::Cell;
 
 thread_local! {
     static LEVELS: Cell<u64> = const { Cell::new(0) };
-    static BUCKETS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Observed iteration counts since the last [`reset`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KndsCounters {
-    /// BFS expansion levels in `engine::run` (static bound: `depth`).
+    /// kNDS driver rounds, levels or buckets (static bound: `depth`).
     pub levels: u64,
-    /// Distance buckets drained in `weighted` (static bound: `depth`).
-    pub buckets: u64,
 }
 
 /// Zeroes every counter on this thread.
 pub fn reset() {
     LEVELS.with(|c| c.set(0));
-    BUCKETS.with(|c| c.set(0));
 }
 
 /// Reads every counter on this thread.
 pub fn snapshot() -> KndsCounters {
-    KndsCounters { levels: LEVELS.with(Cell::get), buckets: BUCKETS.with(Cell::get) }
+    KndsCounters { levels: LEVELS.with(Cell::get) }
 }
 
-/// One BFS expansion level.
+/// One driver round (a BFS level or a distance bucket).
 pub fn bump_levels() {
     LEVELS.with(|c| c.set(c.get().wrapping_add(1)));
-}
-
-/// One distance bucket drained.
-pub fn bump_buckets() {
-    BUCKETS.with(|c| c.set(c.get().wrapping_add(1)));
 }

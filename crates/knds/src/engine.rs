@@ -1,7 +1,8 @@
 //! The kNDS engine (Algorithm 2) for RDS and SDS queries.
 //!
-//! One search proceeds in breadth-first **levels**. Level `l` processes
-//! every valid-path BFS state at distance `l` from some query concept:
+//! One search proceeds in **rounds** — BFS levels, or distance buckets
+//! under the weighted frontier policy of [`crate::weighted`]. Round `l`
+//! processes every valid-path state at distance `l` from a query concept:
 //!
 //! 1. **coverage** — for each state `(origin, node)` reached for the first
 //!    time, the posting list of `node` updates every containing document's
@@ -24,14 +25,15 @@
 //! Exactness does not depend on `εθ` or the queue watermark: both only
 //! steer when exact distances are computed.
 //!
-//! All entry points funnel into one sink-parameterized runner over a
-//! borrowed [`KndsWorkspace`]; the `*_with` variants reuse a caller-owned
-//! workspace so steady-state queries allocate nothing.
+//! Every [`Knds`] and [`WeightedKnds`](crate::WeightedKnds) entry point
+//! funnels into one runner over a borrowed [`KndsWorkspace`]; the `*_with`
+//! variants reuse a caller-owned workspace so steady-state queries
+//! allocate nothing.
 
 use crate::config::KndsConfig;
 use crate::metrics::QueryMetrics;
 use crate::util::TopK;
-use crate::workspace::KndsWorkspace;
+use crate::workspace::{DenseTables, KndsWorkspace};
 use cbr_corpus::DocId;
 use cbr_dradix::Drc;
 use cbr_index::{packing, IndexSource};
@@ -162,7 +164,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
     /// assert_eq!(warm.metrics.workspace_reused, 1);
     /// ```
     pub fn rds_with(&self, ws: &mut KndsWorkspace, query: &[ConceptId], k: usize) -> QueryResult {
-        self.run_hooked(ws, Kind::Rds, query, k, None, None)
+        self.run_hooked(ws, Kind::Rds, query, k, Hooks::default())
     }
 
     /// Evaluates an SDS query (Definition 2): the `k` documents minimizing
@@ -185,7 +187,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
         query_doc: &[ConceptId],
         k: usize,
     ) -> QueryResult {
-        self.run_hooked(ws, Kind::Sds, query_doc, k, None, None)
+        self.run_hooked(ws, Kind::Sds, query_doc, k, Hooks::default())
     }
 
     /// RDS with progressive emission (Section 5.3, optimization 4):
@@ -201,7 +203,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
         on_final: impl FnMut(RankedDoc),
     ) -> QueryResult {
         let mut ws = KndsWorkspace::new();
-        self.run_hooked(&mut ws, Kind::Rds, query, k, Some(Box::new(on_final)), None)
+        self.run_hooked(&mut ws, Kind::Rds, query, k, Hooks::streaming(on_final))
     }
 
     /// [`Knds::rds_streaming`] over a caller-owned workspace; see
@@ -213,7 +215,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
         k: usize,
         on_final: impl FnMut(RankedDoc),
     ) -> QueryResult {
-        self.run_hooked(ws, Kind::Rds, query, k, Some(Box::new(on_final)), None)
+        self.run_hooked(ws, Kind::Rds, query, k, Hooks::streaming(on_final))
     }
 
     /// SDS with progressive emission; see [`Knds::rds_streaming`].
@@ -224,7 +226,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
         on_final: impl FnMut(RankedDoc),
     ) -> QueryResult {
         let mut ws = KndsWorkspace::new();
-        self.run_hooked(&mut ws, Kind::Sds, query_doc, k, Some(Box::new(on_final)), None)
+        self.run_hooked(&mut ws, Kind::Sds, query_doc, k, Hooks::streaming(on_final))
     }
 
     /// [`Knds::sds_streaming`] over a caller-owned workspace; see
@@ -236,7 +238,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
         k: usize,
         on_final: impl FnMut(RankedDoc),
     ) -> QueryResult {
-        self.run_hooked(ws, Kind::Sds, query_doc, k, Some(Box::new(on_final)), None)
+        self.run_hooked(ws, Kind::Sds, query_doc, k, Hooks::streaming(on_final))
     }
 
     /// RDS with a [`TraceEvent`](crate::trace::TraceEvent) stream — the
@@ -249,7 +251,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
         on_trace: impl FnMut(crate::trace::TraceEvent),
     ) -> QueryResult {
         let mut ws = KndsWorkspace::new();
-        self.run_hooked(&mut ws, Kind::Rds, query, k, None, Some(Box::new(on_trace)))
+        self.run_hooked(&mut ws, Kind::Rds, query, k, Hooks::traced(on_trace))
     }
 
     /// [`Knds::rds_traced`] over a caller-owned workspace; see
@@ -261,7 +263,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
         k: usize,
         on_trace: impl FnMut(crate::trace::TraceEvent),
     ) -> QueryResult {
-        self.run_hooked(ws, Kind::Rds, query, k, None, Some(Box::new(on_trace)))
+        self.run_hooked(ws, Kind::Rds, query, k, Hooks::traced(on_trace))
     }
 
     /// SDS with a trace stream; see [`Knds::rds_traced`].
@@ -272,7 +274,7 @@ impl<'a, S: IndexSource> Knds<'a, S> {
         on_trace: impl FnMut(crate::trace::TraceEvent),
     ) -> QueryResult {
         let mut ws = KndsWorkspace::new();
-        self.run_hooked(&mut ws, Kind::Sds, query_doc, k, None, Some(Box::new(on_trace)))
+        self.run_hooked(&mut ws, Kind::Sds, query_doc, k, Hooks::traced(on_trace))
     }
 
     /// [`Knds::sds_traced`] over a caller-owned workspace; see
@@ -284,21 +286,33 @@ impl<'a, S: IndexSource> Knds<'a, S> {
         k: usize,
         on_trace: impl FnMut(crate::trace::TraceEvent),
     ) -> QueryResult {
-        self.run_hooked(ws, Kind::Sds, query_doc, k, None, Some(Box::new(on_trace)))
+        self.run_hooked(ws, Kind::Sds, query_doc, k, Hooks::traced(on_trace))
     }
 
-    /// The single runner behind every entry point: normalizes the query
-    /// into the workspace, runs the search over borrowed scratch, and
-    /// returns the workspace clean (even the DRC DAG arena is round-
-    /// tripped through it).
+    /// The runner behind every entry point: the level frontier policy.
     fn run_hooked(
         &self,
         ws: &mut KndsWorkspace,
         kind: Kind,
         query: &[ConceptId],
         k: usize,
-        on_final: Option<Box<dyn FnMut(RankedDoc) + '_>>,
-        on_trace: Option<crate::trace::TraceSink<'_>>,
+        hooks: Hooks<'_>,
+    ) -> QueryResult {
+        self.run_policy(ws, LevelFrontier::default(), kind, query, k, hooks)
+    }
+
+    /// The single runner behind both engines: normalizes the query into
+    /// the workspace, runs the search over borrowed scratch with the
+    /// given frontier policy, and returns the workspace clean (even the
+    /// DRC DAG arena is round-tripped through it).
+    pub(crate) fn run_policy<F: FrontierPolicy>(
+        &self,
+        ws: &mut KndsWorkspace,
+        frontier: F,
+        kind: Kind,
+        query: &[ConceptId],
+        k: usize,
+        hooks: Hooks<'_>,
     ) -> QueryResult {
         assert!(k > 0, "k must be positive");
         let reused = ws.begin();
@@ -306,17 +320,17 @@ impl<'a, S: IndexSource> Knds<'a, S> {
         crate::util::normalize_query_into(query, &mut q);
         assert!(!q.is_empty(), "query must contain at least one concept");
         // Open a dense-table epoch sized to this query's geometry (the SDS
-        // reverse map needs the first-touch table; the unit engine never
-        // needs Dijkstra distances).
+        // reverse map needs the first-touch table; only a relaxing policy
+        // needs the tentative-distance table).
         let rolled = ws.dense.begin_query(
             q.len(),
             self.ontology.len(),
             self.source.num_docs(),
             kind == Kind::Sds,
-            false,
+            F::RELAXES,
         );
 
-        let drc = Drc::new(self.ontology).with_scratch(ws.take_dag());
+        let drc = frontier.distance_oracle(self.ontology).with_scratch(ws.take_dag());
         let mut search = Search {
             ont: self.ontology,
             source: self.source,
@@ -326,10 +340,10 @@ impl<'a, S: IndexSource> Knds<'a, S> {
             nq: q.len(),
             query: q,
             ws,
+            frontier,
             heap: TopK::new(k),
             metrics: QueryMetrics { epoch_rollover: rolled as usize, ..QueryMetrics::default() },
-            on_final,
-            on_trace,
+            hooks,
         };
         let mut result = search.run();
 
@@ -345,12 +359,173 @@ impl<'a, S: IndexSource> Knds<'a, S> {
     }
 }
 
+/// The optional per-query sinks.
+#[derive(Default)]
+pub(crate) struct Hooks<'h> {
+    /// Progressive-result sink (Section 5.3, optimization 4).
+    on_final: Option<Box<dyn FnMut(RankedDoc) + 'h>>,
+    /// Trace sink (the Table 2 walkthrough).
+    on_trace: Option<crate::trace::TraceSink<'h>>,
+}
+
+impl<'h> Hooks<'h> {
+    fn streaming(on_final: impl FnMut(RankedDoc) + 'h) -> Self {
+        Hooks { on_final: Some(Box::new(on_final)), on_trace: None }
+    }
+
+    fn traced(on_trace: impl FnMut(crate::trace::TraceEvent) + 'h) -> Self {
+        Hooks { on_final: None, on_trace: Some(Box::new(on_trace)) }
+    }
+}
+
 /// BFS state: `(origin query-concept index, node, has descended?)`.
 /// Ascending states (`false`) may still move to parents; once a state
 /// descends to a child the flag flips and only further descents are valid.
 pub(crate) type State = (u32, ConceptId, bool);
 
-struct Search<'a, 'w, S: IndexSource> {
+/// The order in which the driver drains its frontier — the only thing
+/// the unit-weight BFS of Section 5 and the weighted-edge extension of
+/// Section 7 do differently. A *round* is one BFS level (unit weights)
+/// or one distance bucket (weights); once round `r` is drained, every
+/// uncovered term is at distance ≥ `r + 1`, which is all the Equation
+/// 6/8 lower bounds and the termination test rely on. [`Search`] is
+/// monomorphized over its policy, so the per-state calls are static.
+pub(crate) trait FrontierPolicy {
+    /// Whether the policy relaxes tentative distances, i.e. needs the
+    /// dense `best` table.
+    const RELAXES: bool;
+
+    /// The DRC distance oracle under the policy's edge metric.
+    fn distance_oracle<'o>(&self, ont: &'o Ontology) -> Drc<'o>
+    where
+        Self: 'o;
+
+    /// Detaches the frontier buffers from `ws` and returns round 0: one
+    /// ascending state per query concept.
+    fn seed_frontier(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId]) -> Vec<State>;
+
+    /// Whether a drained state was superseded by a shorter re-push
+    /// (lazy deletion); such a state is skipped.
+    fn is_superseded(&self, _dense: &DenseTables, _state: State, _round: u32) -> bool {
+        false
+    }
+
+    /// Queues the valid-path neighbors of `state`, drained in `round`:
+    /// once a traversal has descended it may not ascend again (the
+    /// "{G,F} not pushed" rule of Example 4). Pushes rejected by the
+    /// dedup rule count into `hits`.
+    fn expand_state(
+        &mut self,
+        ont: &Ontology,
+        dense: &mut DenseTables,
+        state: State,
+        round: u32,
+        dedup: bool,
+        hits: &mut usize,
+    );
+
+    /// Takes a drained round's buffer back (capacity retained) and
+    /// returns the states queued for later rounds — what `queue_cap` is
+    /// compared against.
+    fn close_round(&mut self, round: u32, drained: Vec<State>) -> usize;
+
+    /// The next non-empty round after `round` and its states; `None`
+    /// once the frontier is exhausted.
+    fn next_round(&mut self, round: u32) -> Option<(u32, Vec<State>)>;
+
+    /// Re-attaches the frontier buffers to `ws`.
+    fn stash_frontier(&mut self, ws: &mut KndsWorkspace);
+}
+
+/// The unit-weight policy: a level-synchronous frontier over two
+/// buffers that trade places between levels instead of allocating
+/// (`next` is the level being built, `spare` the one last drained).
+/// Every edge is one hop, so a state's first push is at its minimal
+/// distance and push-time dedup (`mark_state`) is exact.
+#[derive(Default)]
+struct LevelFrontier {
+    next: Vec<State>,
+    spare: Vec<State>,
+}
+
+impl LevelFrontier {
+    #[inline]
+    fn enqueue(&mut self, dense: &mut DenseTables, state: State, dedup: bool, hits: &mut usize) {
+        let (origin, node, desc) = state;
+        if dedup && !dense.mark_state(origin, node, desc) {
+            *hits += 1;
+            return;
+        }
+        self.next.push(state);
+    }
+}
+
+impl FrontierPolicy for LevelFrontier {
+    const RELAXES: bool = false;
+
+    fn distance_oracle<'o>(&self, ont: &'o Ontology) -> Drc<'o>
+    where
+        Self: 'o,
+    {
+        Drc::new(ont)
+    }
+
+    fn seed_frontier(&mut self, ws: &mut KndsWorkspace, query: &[ConceptId]) -> Vec<State> {
+        self.next = std::mem::take(&mut ws.next_frontier);
+        self.next.clear();
+        let mut seeds = std::mem::take(&mut ws.frontier);
+        seeds.clear();
+        seeds.extend(query.iter().enumerate().map(|(i, &c)| (packing::narrow_u32(i), c, false)));
+        // Marked even with dedup off, where the marks are never read.
+        // cplx: bound nq — one seed state per query concept
+        for &(origin, node, desc) in &seeds {
+            ws.dense.mark_state(origin, node, desc);
+        }
+        seeds
+    }
+
+    fn expand_state(
+        &mut self,
+        ont: &Ontology,
+        dense: &mut DenseTables,
+        (origin, node, descending): State,
+        _round: u32,
+        dedup: bool,
+        hits: &mut usize,
+    ) {
+        if !descending {
+            // cplx: bound deg — one push per parent edge
+            for &p in ont.parents(node) {
+                self.enqueue(dense, (origin, p, false), dedup, hits);
+            }
+        }
+        // cplx: bound deg — one push per child edge
+        for &c in ont.children(node) {
+            self.enqueue(dense, (origin, c, true), dedup, hits);
+        }
+    }
+
+    fn close_round(&mut self, _round: u32, drained: Vec<State>) -> usize {
+        self.spare = drained;
+        self.next.len()
+    }
+
+    fn next_round(&mut self, round: u32) -> Option<(u32, Vec<State>)> {
+        if self.next.is_empty() {
+            return None;
+        }
+        let states = std::mem::replace(&mut self.next, std::mem::take(&mut self.spare));
+        self.next.clear();
+        Some((round + 1, states))
+    }
+
+    fn stash_frontier(&mut self, ws: &mut KndsWorkspace) {
+        ws.frontier = std::mem::take(&mut self.spare);
+        ws.next_frontier = std::mem::take(&mut self.next);
+    }
+}
+
+struct Search<'a, 'w, S: IndexSource, F> {
     ont: &'a Ontology,
     source: &'a S,
     drc: Drc<'a>,
@@ -360,48 +535,45 @@ struct Search<'a, 'w, S: IndexSource> {
     nq: usize,
     /// All per-query maps and buffers live here, borrowed for this query.
     ws: &'w mut KndsWorkspace,
+    /// The frontier policy (its buffers are detached from `ws` while the
+    /// query runs).
+    frontier: F,
     heap: TopK,
     metrics: QueryMetrics,
-    /// Progressive-result sink (Section 5.3, optimization 4).
-    on_final: Option<Box<dyn FnMut(RankedDoc) + 'a>>,
-    /// Trace sink (the Table 2 walkthrough).
-    on_trace: Option<crate::trace::TraceSink<'a>>,
+    hooks: Hooks<'a>,
 }
 
-impl<S: IndexSource> Search<'_, '_, S> {
+impl<S: IndexSource, F: FrontierPolicy> Search<'_, '_, S, F> {
     fn run(&mut self) -> QueryResult {
-        // Double-buffered frontier: `frontier` is the current level, `next`
-        // the one being built; the buffers swap-and-clear between levels
-        // instead of allocating a fresh Vec per level.
-        let mut frontier = std::mem::take(&mut self.ws.frontier);
-        let mut next = std::mem::take(&mut self.ws.next_frontier);
-        frontier.clear();
-        frontier.extend(
-            self.query.iter().enumerate().map(|(i, &c)| (packing::narrow_u32(i), c, false)),
-        );
-        if self.config.dedup_visits {
-            for &(origin, node, desc) in &frontier {
-                self.ws.dense.mark_state(origin, node, desc);
-            }
-        }
+        let dedup = self.config.dedup_visits;
+        let mut current = self.frontier.seed_frontier(self.ws, &self.query);
 
         let mut level: u32 = 0;
-        // cplx: bound depth — one BFS level per turn, exhausting within the diameter; cplx: counter levels
+        // cplx: bound depth — one BFS level or distance bucket per turn, exhausting within the diameter; cplx: counter levels
         loop {
             #[cfg(feature = "counters")]
             crate::counters::bump_levels();
-            self.trace(|| crate::trace::TraceEvent::LevelStart { level, frontier: frontier.len() });
+            self.trace(|| crate::trace::TraceEvent::LevelStart { level, frontier: current.len() });
             // --- coverage + expansion (traversal bucket) --------------------
             let t0 = Instant::now();
-            next.clear();
-            let mut forced = false;
-            for &(origin, node, descending) in &frontier {
+            for &state in &current {
+                if self.frontier.is_superseded(&self.ws.dense, state, level) {
+                    continue;
+                }
+                let (origin, node, _) = state;
                 self.metrics.nodes_visited += 1;
                 self.apply_coverage(origin, node, level);
-                self.expand(origin, node, descending, &mut next);
+                self.frontier.expand_state(
+                    self.ont,
+                    &mut self.ws.dense,
+                    state,
+                    level,
+                    dedup,
+                    &mut self.metrics.dense_hits,
+                );
             }
-            if next.len() > self.config.queue_cap {
-                forced = true;
+            let forced = self.frontier.close_round(level, current) > self.config.queue_cap;
+            if forced {
                 self.metrics.forced_rounds += 1;
             }
             self.metrics.traversal += t0.elapsed();
@@ -422,15 +594,15 @@ impl<S: IndexSource> Search<'_, '_, S> {
                 self.trace(|| crate::trace::TraceEvent::Terminated { level, d_minus, threshold });
                 break;
             }
-            if next.is_empty() {
-                self.finalize_exhausted();
-                break;
+            match self.frontier.next_round(level) {
+                Some((next, states)) => (level, current) = (next, states),
+                None => {
+                    self.finalize_exhausted();
+                    break;
+                }
             }
-            std::mem::swap(&mut frontier, &mut next);
-            level += 1;
         }
-        self.ws.frontier = frontier;
-        self.ws.next_frontier = next;
+        self.frontier.stash_frontier(self.ws);
 
         self.metrics.candidates_seen = self.ws.dense.cand.len();
         let results: Vec<RankedDoc> = std::mem::replace(&mut self.heap, TopK::new(1))
@@ -439,7 +611,7 @@ impl<S: IndexSource> Search<'_, '_, S> {
             .map(|(doc, distance)| RankedDoc { doc, distance })
             .collect();
         // Flush the remaining results (already sorted) to the sink.
-        if let Some(sink) = self.on_final.as_mut() {
+        if let Some(sink) = self.hooks.on_final.as_mut() {
             for &r in &results {
                 if self.ws.dense.mark_doc(r.doc) {
                     sink(r);
@@ -453,7 +625,7 @@ impl<S: IndexSource> Search<'_, '_, S> {
     /// no unexamined or unseen document can beat it, so it is final. Any
     /// later emission has distance ≥ `d_minus`, keeping the stream sorted.
     fn emit_final(&mut self, d_minus: f64) {
-        if self.on_final.is_none() {
+        if self.hooks.on_final.is_none() {
             return;
         }
         let mut ready = std::mem::take(&mut self.ws.order);
@@ -465,7 +637,7 @@ impl<S: IndexSource> Search<'_, '_, S> {
                 .map(|(doc, d)| (d, doc)),
         );
         ready.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        if let Some(sink) = self.on_final.as_mut() {
+        if let Some(sink) = self.hooks.on_final.as_mut() {
             for &(distance, doc) in &ready {
                 self.ws.dense.mark_doc(doc);
                 sink(RankedDoc { doc, distance });
@@ -515,32 +687,6 @@ impl<S: IndexSource> Search<'_, '_, S> {
         self.ws.postings_buf = postings;
     }
 
-    /// Pushes the valid-path neighbors of a state: once a traversal has
-    /// descended it may not ascend again (the "{G,F} not pushed" rule of
-    /// Example 4).
-    fn expand(&mut self, origin: u32, node: ConceptId, descending: bool, next: &mut Vec<State>) {
-        if !descending {
-            for &p in self.ont.parents(node) {
-                self.push_state((origin, p, false), next);
-            }
-        }
-        for &c in self.ont.children(node) {
-            self.push_state((origin, c, true), next);
-        }
-    }
-
-    #[inline]
-    fn push_state(&mut self, state: State, next: &mut Vec<State>) {
-        if self.config.dedup_visits {
-            let (origin, node, desc) = state;
-            if !self.ws.dense.mark_state(origin, node, desc) {
-                self.metrics.dense_hits += 1;
-                return;
-            }
-        }
-        next.push(state);
-    }
-
     /// Sorts unexamined candidates by lower bound and examines while the
     /// error estimate allows (or unconditionally in a forced round).
     /// Returns the smallest lower bound left unexamined.
@@ -560,7 +706,7 @@ impl<S: IndexSource> Search<'_, '_, S> {
         order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         self.metrics.traversal += t0.elapsed();
 
-        if self.on_trace.is_some() {
+        if self.hooks.on_trace.is_some() {
             for &(_, doc) in &order {
                 let entry = self.ws.dense.slot_of(doc).and_then(|s| self.ws.dense.candidate(s));
                 if let Some(c) = entry {
@@ -620,7 +766,7 @@ impl<S: IndexSource> Search<'_, '_, S> {
     /// construction off the hot path).
     #[inline]
     fn trace(&mut self, event: impl FnOnce() -> crate::trace::TraceEvent) {
-        if let Some(sink) = self.on_trace.as_mut() {
+        if let Some(sink) = self.hooks.on_trace.as_mut() {
             sink(event());
         }
     }
@@ -686,6 +832,9 @@ impl<S: IndexSource> Search<'_, '_, S> {
     /// a DRC probe runs (rebuilding the workspace's DAG arena in place).
     /// `complete` and `partial` are precomputed by the caller from the
     /// candidate entry (see [`Search::is_complete`]).
+    // cplx: bound deg*p*log+depth*depth*depth*deg*p — one probe is one
+    // D-Radix build over Pd ∪ Pq (the dradix::dag::build_into root); its
+    // nq/nd staging terms fold into p, since every concept has ≥ 1 address
     fn exact_distance(&mut self, doc: DocId, complete: bool, partial: f64) -> (f64, bool) {
         if complete {
             self.metrics.exact_from_partial += 1;
@@ -720,38 +869,15 @@ impl<S: IndexSource> Search<'_, '_, S> {
     /// all) and sit at infinite distance.
     fn finalize_exhausted(&mut self) {
         let t0 = Instant::now();
-        let mut docs = std::mem::take(&mut self.ws.docs_buf);
-        docs.clear();
-        docs.extend(
-            self.ws
-                .dense
-                .cand_docs
-                .iter()
-                .zip(self.ws.dense.cand.iter())
-                .filter(|(_, c)| !c.examined)
-                .map(|(&d, _)| d),
-        );
-        let finalized = docs.len();
+        let finalized = self.ws.dense.cand.iter().filter(|c| !c.examined).count();
         self.trace(|| crate::trace::TraceEvent::Exhausted { finalized });
-        for &doc in &docs {
-            let Some(slot) = self.ws.dense.slot_of(doc) else {
-                continue;
-            };
-            let Some(exact) = self.ws.dense.candidate(slot).map(|c| {
-                debug_assert_eq!(c.covered as usize, self.nq, "exhaustion implies full coverage");
-                self.partial_distance(c)
-            }) else {
-                continue;
-            };
+        let dense = &self.ws.dense;
+        for (&doc, c) in dense.cand_docs.iter().zip(&dense.cand).filter(|(_, c)| !c.examined) {
+            debug_assert_eq!(c.covered as usize, self.nq, "exhaustion implies full coverage");
             self.metrics.exact_from_partial += 1;
             self.metrics.docs_examined += 1;
-            if let Some(c) = self.ws.dense.candidate_mut(slot) {
-                c.examined = true;
-            }
-            self.heap.offer(doc, exact);
+            self.heap.offer(doc, self.partial_distance(c));
         }
-        docs.clear();
-        self.ws.docs_buf = docs;
         if !self.heap.is_full() {
             for i in 0..self.source.num_docs() {
                 let d = DocId::from_index(i);

@@ -29,8 +29,9 @@
 //!
 //! Engineering extensions around the core algorithm:
 //!
-//! * [`weighted`] — kNDS over weighted edges (bucketed Dijkstra), the
-//!   Section 7 future-work variant;
+//! * [`weighted`] — kNDS over weighted edges, the Section 7 future-work
+//!   variant: the same driver as [`Knds`] with a bucket-queue (bucketed
+//!   Dijkstra) frontier policy in place of the BFS levels;
 //! * [`sharded`] — the paper's MapReduce sketch as thread-parallel
 //!   partitioned search with exact top-k merge;
 //! * [`tuner`] — automatic `εθ` selection (the Figure 7 procedure);

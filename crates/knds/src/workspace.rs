@@ -58,16 +58,14 @@ pub struct KndsWorkspace {
     pub(crate) postings_buf: Vec<DocId>,
     /// Forward-index fetch buffer.
     pub(crate) concepts_buf: Vec<ConceptId>,
-    /// Current BFS level (double-buffered with `next_frontier`).
+    /// Level frontier policy: the current BFS level (double-buffered).
     pub(crate) frontier: Vec<State>,
-    /// Next BFS level (swap-and-clear, never reallocated per level).
+    /// Level frontier policy: the next BFS level (swap-and-clear).
     pub(crate) next_frontier: Vec<State>,
-    /// Weighted: distance-indexed Dijkstra buckets.
+    /// Bucket-queue frontier policy (weights): distance-indexed buckets.
     pub(crate) buckets: Vec<Vec<State>>,
     /// Examination order buffer: `(lower bound, doc)` per round.
     pub(crate) order: Vec<(f64, DocId)>,
-    /// Scratch document list (exhaustion finalize, progressive emission).
-    pub(crate) docs_buf: Vec<DocId>,
     /// The DRC D-Radix build scratch (node/label arenas et al.).
     pub(crate) dag: DagScratch,
     /// True while a query is in flight (or after a panic left one
@@ -144,7 +142,6 @@ impl KndsWorkspace {
             b.clear();
         }
         self.order.clear();
-        self.docs_buf.clear();
         // The DAG scratch clears itself on the next build; the dense
         // stamp arrays are invalidated by the next epoch bump.
     }
@@ -164,7 +161,6 @@ impl KndsWorkspace {
             + self.buckets.capacity() * size_of::<Vec<State>>()
             + self.buckets.iter().map(|b| b.capacity() * size_of::<State>()).sum::<usize>()
             + self.order.capacity() * size_of::<(f64, DocId)>()
-            + self.docs_buf.capacity() * size_of::<DocId>()
             + self.dag.footprint_bytes()
     }
 }

@@ -78,4 +78,10 @@ cargo run -q --release -p cbr-bench --bin repro -- --json --smoke
 # collection, short phases, and in-process validation of the
 # BENCH_scale.json run object; writes nothing.
 cargo run -q --release -p cbr-bench --bin scale -- --smoke
-cargo test -q
+# Every workspace member's tests: a bare `cargo test` from the root runs
+# only the root package.
+cargo test --workspace -q
+# The shipped engine configuration: workspace feature unification turns
+# on cbr-knds/cbr-dradix `counters` (cbr-cplx's dev harness needs them),
+# so test those two crates once more on their own, counters compiled out.
+cargo test -q -p cbr-knds -p cbr-dradix
